@@ -7,11 +7,10 @@ dictionary-encoded integer columns: joins probe code indexes and gather
 with C-speed ``map``, renames and projections are column permutations,
 and dedup happens in one packed-key set per iteration.
 
-This benchmark runs the same transitive-closure workload as
-``bench_storage_speedup`` — a long chain with shortcut edges — in both
-modes: the default columnar kernels and the indexed row engine
-(``repro.data.columnar.row_mode``, which is *today's* optimized row path,
-not the seed's compatibility mode — a deliberately strong baseline).  The
+This benchmark runs a transitive-closure workload — a long chain with
+shortcut edges — in both modes: the default columnar kernels and the
+indexed row engine (``repro.data.columnar.row_mode``, the optimized,
+delta-aware row path — a deliberately strong baseline).  The
 headline assertion is a >= 2x speedup with bit-identical results.  A
 second pair of runs compares the two modes on one Uniprot workload query
 through the full Session pipeline, and the observed numbers are written
@@ -37,9 +36,7 @@ RESULTS_DIR = Path(__file__).parent / "results"
 FIGURE_TITLE = "Columnar kernel speedup - kernels vs indexed row engine"
 
 #: Chain length: recursion depth of the closure (and the number of
-#: semi-naive iterations).  Matches bench_storage_speedup so the two
-#: speedup reports compose: storage measures indexed-row over the seed,
-#: this module measures columnar over indexed-row.
+#: semi-naive iterations).
 CHAIN_LENGTH = 320
 #: Extra forward edges to thicken the deltas a little.
 EXTRA_EDGES = 80

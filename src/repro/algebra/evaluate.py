@@ -3,17 +3,10 @@
 This is the reference evaluator: every other execution strategy (the
 distributed plans, the per-worker local engine, the baselines) is tested
 against it.  Fixpoints are evaluated with the semi-naive (differential)
-method of Algorithm 1 of the paper::
-
-    X = R
-    new = R
-    while new != empty:
-        new = phi(new) \\ X
-        X = X U new
-    return X
-
-which is correct for Fcond-satisfying terms thanks to Proposition 1
-(``Psi(S) = Psi(empty) U union_x Psi({x})``).
+method of Algorithm 1 of the paper (the shared driver in
+:mod:`repro.algebra.fixpoint`), which is correct for Fcond-satisfying
+terms thanks to Proposition 1 (``Psi(S) = Psi(empty) U union_x
+Psi({x})``).
 """
 
 from __future__ import annotations
@@ -21,21 +14,15 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from ..data import storage
 from ..data.columnar import snapshot_dictionary
 from ..data.relation import Relation
-from ..data.storage import DeltaAccumulator
 from ..errors import EvaluationError
-from ..obs import tracing
 from .conditions import decompose
-from .kernels import KernelProgramCache, try_columnar_fixpoint
+from .fixpoint import MAX_ITERATIONS, run_fixpoint
+from .kernels import KernelProgramCache
 from .terms import (AntiProject, Antijoin, Filter, Fixpoint, Join, Literal,
                     Rename, RelVar, Term, Union)
 from .variables import is_constant_in
-
-#: Safety bound on fixpoint iterations; graph reachability converges in at
-#: most |nodes| steps, so hitting this bound indicates a malformed term.
-DEFAULT_MAX_ITERATIONS = 1_000_000
 
 
 @dataclass
@@ -64,7 +51,7 @@ class Evaluator:
     """Evaluate mu-RA terms against a database of named relations."""
 
     def __init__(self, database: Mapping[str, Relation],
-                 max_iterations: int = DEFAULT_MAX_ITERATIONS,
+                 max_iterations: int = MAX_ITERATIONS,
                  stats: EvaluationStats | None = None,
                  kernel_cache: KernelProgramCache | None = None):
         # The shared per-snapshot value dictionary must be captured before
@@ -179,8 +166,6 @@ class Evaluator:
         return cached
 
     def _warm_index(self, relation: Relation, common: tuple[str, ...]) -> None:
-        if not storage.caching_enabled():
-            return
         if relation.has_index(common):
             self.stats.index_reuses += 1
         else:
@@ -196,78 +181,41 @@ class Evaluator:
             self.stats.record_fixpoint(iterations=0, result_size=len(constant))
             return constant
         variable_part = decomposition.variable_part
-        kernel_result = self._try_kernels(term, variable_part, constant, env)
-        if kernel_result is not None:
-            self.stats.index_builds += kernel_result.index_builds
-            self.stats.index_reuses += kernel_result.index_reuses
-            self.stats.record_fixpoint(iterations=kernel_result.iterations,
-                                       result_size=len(kernel_result.relation))
-            return kernel_result.relation
-        # One environment for the whole loop (only the delta binding
-        # changes per iteration) and one schema check (operator output
-        # schemas depend on input schemas only, which are fixed).
+        # One environment for the whole loop: only the delta binding
+        # changes per iteration.
         inner_env = dict(env)
-        accumulator = DeltaAccumulator(constant)
-        new = constant
-        iterations = 0
-        schema_checked = False
-        # Hoisted once: when tracing is off the loop pays one local bool
-        # check per iteration (bench_obs_overhead.py holds this to <= 5%).
-        traced = tracing.tracing_enabled()
-        while new:
-            iterations += 1
-            if iterations > self.max_iterations:
-                raise EvaluationError(
-                    f"fixpoint on {term.var!r} did not converge after "
-                    f"{self.max_iterations} iterations"
-                )
-            inner_env[term.var] = new
-            iteration_span = tracing.span(
-                "fixpoint.iteration", var=term.var, iteration=iterations,
-                delta=len(new)) if traced else tracing.NOOP_SPAN
-            with iteration_span:
-                produced = self._eval(variable_part, inner_env)
-                if not schema_checked:
-                    if produced.columns != constant.columns:
-                        raise EvaluationError(
-                            f"fixpoint on {term.var!r}: the variable part "
-                            f"produced schema {produced.columns} but the "
-                            f"constant part has schema {constant.columns}"
-                        )
-                    schema_checked = True
-                new = accumulator.absorb(produced)
-                if traced:
-                    iteration_span.set_attribute("produced", len(produced))
-                    iteration_span.set_attribute("total", len(accumulator))
-        result = accumulator.relation()
-        self.stats.record_fixpoint(iterations=iterations, result_size=len(result))
-        return result
 
-    def _try_kernels(self, term: Fixpoint, variable_part: Term,
-                     constant: Relation, env: dict[str, Relation]):
-        """Run the fixpoint on the columnar kernels; None means row path.
+        def row_step(delta: Relation) -> Relation:
+            inner_env[term.var] = delta
+            return self._eval(variable_part, inner_env)
 
-        Recursion-constant subterms that mention *outer* fixpoint variables
-        must resolve under the enclosing environment — and must not be
-        memoized, their value changes per outer iteration.  Pure constants
-        go through the term-keyed cache shared with the distributed plans.
-        """
+        # Recursion-constant subterms that mention *outer* fixpoint
+        # variables must resolve under the enclosing environment — and must
+        # not be memoized, their value changes per outer iteration.  Pure
+        # constants go through the term-keyed cache shared with the
+        # distributed plans.
         if env:
             def resolve(t: Term) -> Relation:
                 return self._eval(t, env)
         else:
             resolve = self.evaluate_constant
-        return try_columnar_fixpoint(
-            self._kernel_cache, term.var, variable_part, constant,
-            self._dictionary, resolve, self.max_iterations,
-            f"fixpoint on {term.var!r} did not converge after "
-            f"{self.max_iterations} iterations")
+        run = run_fixpoint(
+            term.var, variable_part, constant, row_step,
+            kernel_cache=self._kernel_cache, dictionary=self._dictionary,
+            resolve=resolve, max_iterations=self.max_iterations,
+            nonconvergence=f"fixpoint on {term.var!r} did not converge "
+                           f"after {self.max_iterations} iterations")
+        self.stats.index_builds += run.index_builds
+        self.stats.index_reuses += run.index_reuses
+        self.stats.record_fixpoint(iterations=run.iterations,
+                                   result_size=len(run.relation))
+        return run.relation
 
 
 def evaluate(term: Term, database: Mapping[str, Relation],
              env: Mapping[str, Relation] | None = None,
              stats: EvaluationStats | None = None,
-             max_iterations: int = DEFAULT_MAX_ITERATIONS) -> Relation:
+             max_iterations: int = MAX_ITERATIONS) -> Relation:
     """Convenience wrapper: evaluate one term against a database."""
     evaluator = Evaluator(database, max_iterations=max_iterations, stats=stats)
     return evaluator.evaluate(term, env=env)
@@ -275,7 +223,7 @@ def evaluate(term: Term, database: Mapping[str, Relation],
 
 def naive_fixpoint(term: Fixpoint, database: Mapping[str, Relation],
                    env: Mapping[str, Relation] | None = None,
-                   max_iterations: int = DEFAULT_MAX_ITERATIONS) -> Relation:
+                   max_iterations: int = MAX_ITERATIONS) -> Relation:
     """Evaluate a fixpoint with the *naive* method (re-applying phi to the
     whole accumulated result each round).
 

@@ -4,8 +4,9 @@ The generic evaluators interpret the variable part of a fixpoint tuple at
 a time: every iteration re-dispatches on the term tree and pays a Python
 tuple comprehension per row in each join, rename and projection.  This
 module compiles the variable part **once per physical plan** into a chain
-of columnar kernels and runs the semi-naive loop on
-:class:`~repro.data.columnar.ColumnarBatch` columns instead:
+of columnar kernels; the fixpoint driver (:mod:`repro.algebra.fixpoint`)
+then runs its semi-naive loop on :class:`~repro.data.columnar.ColumnarBatch`
+columns instead:
 
 * a small **kernel planner** (:func:`compile_program`) walks the term a
   single time, binds column positions and key layouts up front, and
@@ -40,22 +41,18 @@ from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from ..data.columnar import (ColumnarBatch, ColumnarDeltaAccumulator,
-                             ValueDictionary, columnar_enabled)
+from ..data.columnar import ColumnarBatch, ValueDictionary
 from ..data.predicates import (And, ColumnEq, Compare, Eq, In, Not, Or,
                                Predicate, TruePredicate, _COMPARATORS)
 from ..data.relation import Relation
-from ..errors import EvaluationError
-from ..obs import tracing
 from ..obs.metrics import get_registry
 from .terms import (AntiProject, Antijoin, Filter, Join, Rename, RelVar,
                     Term, Union)
 from .variables import is_constant_in
 
 __all__ = [
-    "BoundKernel", "KernelProgram", "KernelProgramCache", "KernelRunResult",
-    "bind_program", "compile_program", "default_kernel_cache",
-    "try_columnar_fixpoint",
+    "BoundKernel", "KernelProgram", "KernelProgramCache", "bind_program",
+    "compile_program", "default_kernel_cache",
 ]
 
 
@@ -582,18 +579,7 @@ def default_kernel_cache() -> KernelProgramCache:
     return _DEFAULT_CACHE
 
 
-# -- The columnar fixpoint loop ----------------------------------------------
-
-
-@dataclass
-class KernelRunResult:
-    """What one columnar fixpoint run reports back to its caller."""
-
-    relation: Relation
-    iterations: int
-    index_builds: int
-    index_reuses: int
-    probes: int
+# -- Binding ------------------------------------------------------------------
 
 
 def bind_program(cache: KernelProgramCache | None, var: str,
@@ -602,13 +588,11 @@ def bind_program(cache: KernelProgramCache | None, var: str,
                  resolve: Callable[[Term], Relation]) -> BoundKernel | None:
     """Compile (or fetch) and bind the kernel program for one fixpoint.
 
-    Returns None when the kernels cannot (or must not) run this fixpoint
-    — columnar disabled, unsupported shape, output schema differing from
-    the seed schema (the row engine owns that error's exact wording) — in
-    which case the caller falls back to its row loop.
+    Returns None when the planner does not cover this shape, in which
+    case the caller falls back to its row loop.  A program whose output
+    schema differs from ``input_schema`` still binds: the fixpoint
+    driver's first-iteration schema check reports it.
     """
-    if not columnar_enabled():
-        return None
     if cache is None:
         cache = _DEFAULT_CACHE
     program = cache.program_for(var, variable_part, input_schema, resolve)
@@ -625,55 +609,4 @@ def bind_program(cache: KernelProgramCache | None, var: str,
             bound = program.bind(dictionary, resolve)
         except _SchemaDrift:
             return None
-    if bound.out_schema != input_schema:
-        # Let the row engine raise its own (site-specific) schema error.
-        return None
     return bound
-
-
-def try_columnar_fixpoint(cache: KernelProgramCache | None,
-                          var: str, variable_part: Term,
-                          seed: Relation,
-                          dictionary: ValueDictionary,
-                          resolve: Callable[[Term], Relation],
-                          max_iterations: int,
-                          nonconvergence: str) -> KernelRunResult | None:
-    """Run one semi-naive fixpoint on the columnar kernels, if possible.
-
-    Returns None when the kernels cannot run this fixpoint (see
-    :func:`bind_program`), in which case the caller falls back to the row
-    loop.  ``nonconvergence`` is the exact error message the caller's row
-    loop would raise on hitting ``max_iterations``, so the guard behaves
-    identically on both engines.
-    """
-    bound = bind_program(cache, var, variable_part, seed.columns,
-                         dictionary, resolve)
-    if bound is None:
-        return None
-    step = bound.step
-    delta = seed.columnar(dictionary).batch()
-    accumulator = ColumnarDeltaAccumulator(delta)
-    iterations = 0
-    traced = tracing.tracing_enabled()
-    while len(delta):
-        iterations += 1
-        if iterations > max_iterations:
-            raise EvaluationError(nonconvergence)
-        iteration_span = tracing.span(
-            "fixpoint.iteration", var=var, iteration=iterations,
-            delta=len(delta), engine="columnar") if traced else tracing.NOOP_SPAN
-        with iteration_span:
-            produced = step(delta)
-            delta = accumulator.absorb(produced)
-            if traced:
-                iteration_span.set_attribute("produced", len(produced))
-                iteration_span.set_attribute("total", len(accumulator))
-    # The row engine accesses each constant-side index once per iteration
-    # (build on the first touch, reuse after); mirror that accounting so
-    # index-reuse metrics stay comparable across engines.
-    reuses = bound.index_reuses + bound.indexed_ops * max(iterations - 1, 0)
-    return KernelRunResult(relation=accumulator.relation(dictionary),
-                           iterations=iterations,
-                           index_builds=bound.index_builds,
-                           index_reuses=reuses,
-                           probes=bound.probe_counter[0])

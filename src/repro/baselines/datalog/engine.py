@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-from ...data import storage
 from ...data.storage import HashIndex
 from ...errors import DatalogError
 from .ast import Atom, Const, Program, Rule, Var
@@ -187,7 +186,7 @@ class SemiNaiveEngine:
                    positions: tuple[int, ...],
                    store_predicate: str | None) -> HashIndex:
         """Index ``rows`` on ``positions``, caching persistent predicates."""
-        if store_predicate is None or not storage.caching_enabled():
+        if store_predicate is None:
             self._check_arity(atom, rows)
             return HashIndex(rows, positions)
         per_predicate = self._fact_indexes.setdefault(store_predicate, {})

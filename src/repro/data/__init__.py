@@ -10,8 +10,7 @@ from .predicates import (And, ColumnEq, Compare, Eq, In, Not, Or, Predicate,
 from .relation import Relation
 from .snapshot import DEFAULT_GRAPH, DatabaseSnapshot
 from .stats import RelationStats, StatisticsCatalog
-from .storage import (DeltaAccumulator, HashIndex, RelationBuilder,
-                      caching_enabled, compatibility_mode, set_caching_enabled)
+from .storage import DeltaAccumulator, HashIndex, RelationBuilder
 from .tuples import Tup
 
 __all__ = [
@@ -40,12 +39,9 @@ __all__ = [
     "TruePredicate",
     "Tup",
     "ValueDictionary",
-    "caching_enabled",
     "columnar_enabled",
-    "compatibility_mode",
     "conjunction",
     "row_mode",
-    "set_caching_enabled",
     "set_columnar_enabled",
     "snapshot_dictionary",
     "read_graph_tsv",

@@ -23,19 +23,15 @@ the per-worker local engine and the Datalog baseline:
   O(|produced|) instead of rebuilding the frozenset of the whole
   accumulated result (``result.union(new)``) every round.
 
-A context-local switch (:func:`set_caching_enabled`,
-:func:`compatibility_mode`) disables the index memoization and the delta
-fast path, restoring the seed behaviour; ``benchmarks/
-bench_storage_speedup.py`` uses it to show the speedup is real.  The
-switch is a :class:`contextvars.ContextVar`, so flipping it in one thread
-never changes the semantics under concurrently running worker threads.
+Every fixpoint loop runs through one driver
+(:func:`repro.algebra.fixpoint.iterate`); its row engine folds each
+iteration into a :class:`DeltaAccumulator`, and the columnar kernels use
+the packed-code twin, :class:`~repro.data.columnar.ColumnarDeltaAccumulator`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import TYPE_CHECKING, Any
 
 from ..errors import SchemaError
@@ -44,44 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (relation.py imports 
     from .relation import Relation
 
 Row = tuple
-
-#: Context-local switch for the index memoization and delta fast paths.
-#: ``True`` in normal operation; benchmarks flip it to measure the
-#: compatibility (seed-equivalent) mode.  A :class:`ContextVar` scopes the
-#: flip to the flipping context: a benchmark or test entering
-#: ``compatibility_mode()`` cannot change ``DeltaAccumulator`` semantics
-#: under service worker threads that are mid-fixpoint (threads start from
-#: the default context, so they observe the enabled default).
-_caching_enabled: ContextVar[bool] = ContextVar("repro_storage_caching",
-                                                default=True)
-
-
-def caching_enabled() -> bool:
-    """True when index memoization and delta accumulation are active."""
-    return _caching_enabled.get()
-
-
-def set_caching_enabled(enabled: bool) -> bool:
-    """Set the caching switch in this context; returns the previous value."""
-    previous = _caching_enabled.get()
-    _caching_enabled.set(bool(enabled))
-    return previous
-
-
-@contextmanager
-def compatibility_mode():
-    """Run a block with index memoization and delta accumulation disabled.
-
-    Inside the block every join rebuilds its hash table from scratch and
-    fixpoint loops pay the full ``difference`` / ``union`` price per
-    iteration — the storage behaviour of the seed, kept as a measurable
-    baseline.
-    """
-    previous = set_caching_enabled(False)
-    try:
-        yield
-    finally:
-        set_caching_enabled(previous)
 
 
 class HashIndex:
@@ -220,25 +178,17 @@ class DeltaAccumulator:
         delta = accumulator.absorb(produced)   # O(|produced|)
 
     and materialises the final relation exactly once (:meth:`relation`).
-    With caching disabled (:func:`compatibility_mode`) it falls back to the
-    seed-cost path, which is what the storage benchmark measures against.
     """
 
     def __init__(self, seed: "Relation"):
         self._columns = seed.columns
-        self._compat = not caching_enabled()
-        if self._compat:
-            self._accumulated = seed
-        else:
-            self._seen: set[Row] = set(seed.rows)
+        self._seen: set[Row] = set(seed.rows)
 
     @property
     def columns(self) -> tuple[str, ...]:
         return self._columns
 
     def __len__(self) -> int:
-        if self._compat:
-            return len(self._accumulated)
         return len(self._seen)
 
     def absorb(self, produced: "Relation") -> "Relation":
@@ -247,14 +197,10 @@ class DeltaAccumulator:
         if produced.columns != self._columns:
             # Guard against raw row-set mixing across schemas: same-width
             # rows would merge silently, different widths would never
-            # converge.  (The compat path gets this from difference().)
+            # converge.
             raise SchemaError(
                 f"cannot absorb schema {produced.columns} into accumulator "
                 f"over {self._columns}")
-        if self._compat:
-            delta = produced.difference(self._accumulated)
-            self._accumulated = self._accumulated.union(delta)
-            return delta
         fresh = produced.rows - self._seen
         self._seen |= fresh
         return Relation._from_trusted(self._columns, frozenset(fresh))
@@ -262,6 +208,4 @@ class DeltaAccumulator:
     def relation(self) -> "Relation":
         """Materialise the accumulated result (one O(n) copy, at the end)."""
         from .relation import Relation
-        if self._compat:
-            return self._accumulated
         return Relation._from_trusted(self._columns, frozenset(self._seen))

@@ -23,19 +23,17 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
+from ..algebra import fixpoint as fixpoint_driver
 from ..algebra.conditions import Decomposition, decompose
-from ..algebra.kernels import KernelProgramCache, try_columnar_fixpoint
+from ..algebra.kernels import KernelProgramCache
 from ..algebra.printer import term_to_string
 from ..algebra.terms import (AntiProject, Antijoin, Filter, Fixpoint, Join,
                              Literal, Rename, RelVar, Term, Union)
 from ..algebra.variables import is_constant_in
 from ..data.columnar import snapshot_dictionary
 from ..data.relation import Relation
-from ..data.storage import DeltaAccumulator, HashIndex
+from ..data.storage import HashIndex
 from ..errors import DistributionError, EvaluationError
-
-#: Safety bound on local fixpoint iterations.
-MAX_LOCAL_ITERATIONS = 1_000_000
 
 
 @dataclass
@@ -62,7 +60,8 @@ class LocalSQLEngine:
         self._kernel_cache = kernel_cache
         self.database = dict(database)
         #: Iteration bound for the semi-naive loop; ``None`` defers to the
-        #: module-level :data:`MAX_LOCAL_ITERATIONS` at evaluation time.
+        #: driver's :data:`~repro.algebra.fixpoint.MAX_ITERATIONS` at
+        #: evaluation time.
         self.max_iterations = max_iterations
         self.stats = LocalExecutionStats()
         self.stats.tables_registered = len(self.database)
@@ -100,44 +99,25 @@ class LocalSQLEngine:
         var = decomposition.var
         variable_part = decomposition.variable_part
         limit = (self.max_iterations if self.max_iterations is not None
-                 else MAX_LOCAL_ITERATIONS)
-        kernel_result = try_columnar_fixpoint(
-            self._kernel_cache, var, variable_part, seed, self._dictionary,
-            self._evaluate_constant, limit,
-            f"local fixpoint on {var!r} did not converge "
-            f"within {limit} iterations")
-        if kernel_result is not None:
-            self.stats.iterations += kernel_result.iterations
-            self.stats.tuples_produced += len(kernel_result.relation)
-            self.stats.index_builds += kernel_result.index_builds
-            self.stats.index_reuses += kernel_result.index_reuses
-            self.stats.indexed_probes += kernel_result.probes
-            return kernel_result.relation
-        accumulator = DeltaAccumulator(seed)
-        delta = seed
+                 else fixpoint_driver.MAX_ITERATIONS)
         env: dict[str, Relation] = {}
-        iterations = 0
-        schema_checked = False
-        while delta:
-            iterations += 1
-            if iterations > limit:
-                raise EvaluationError(
-                    f"local fixpoint on {var!r} did not converge "
-                    f"within {limit} iterations")
+
+        def row_step(delta: Relation) -> Relation:
             env[var] = delta
-            produced = self._evaluate(variable_part, env)
-            if not schema_checked:
-                if produced.columns != seed.columns:
-                    raise EvaluationError(
-                        f"local fixpoint on {var!r}: variable part schema "
-                        f"{produced.columns} differs from seed schema "
-                        f"{seed.columns}")
-                schema_checked = True
-            delta = accumulator.absorb(produced)
-        result = accumulator.relation()
-        self.stats.iterations += iterations
-        self.stats.tuples_produced += len(result)
-        return result
+            return self._evaluate(variable_part, env)
+
+        run = fixpoint_driver.run_fixpoint(
+            var, variable_part, seed, row_step,
+            kernel_cache=self._kernel_cache, dictionary=self._dictionary,
+            resolve=self._evaluate_constant, max_iterations=limit,
+            nonconvergence=f"local fixpoint on {var!r} did not converge "
+                           f"within {limit} iterations")
+        self.stats.iterations += run.iterations
+        self.stats.tuples_produced += len(run.relation)
+        self.stats.index_builds += run.index_builds
+        self.stats.index_reuses += run.index_reuses
+        self.stats.indexed_probes += run.probes
+        return run.relation
 
     # -- Term evaluation ----------------------------------------------------------
 

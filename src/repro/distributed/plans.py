@@ -24,21 +24,18 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
+from ..algebra import fixpoint as fixpoint_driver
 from ..algebra.conditions import decompose
 from ..algebra.evaluate import Evaluator
-from ..algebra.kernels import (KernelProgramCache, bind_program,
-                               try_columnar_fixpoint)
+from ..algebra.kernels import KernelProgramCache
 from ..algebra.terms import (AntiProject, Antijoin, Filter, Fixpoint, Join,
                              Rename, RelVar, Term, Union)
 from ..algebra.variables import free_variables, is_constant_in
-from ..data import storage
 from ..data.columnar import ColumnarRelation, snapshot_dictionary
 from ..data.relation import Relation
 from ..data.snapshot import adopt_database, database_schemas
-from ..data.storage import DeltaAccumulator
-from ..errors import DistributionError, EvaluationError
+from ..errors import DistributionError
 from ..obs import tracing
-from . import local_engine as local_engine_module
 from .cluster import SparkCluster
 from .local_engine import LocalSQLEngine
 from .partitioner import (PartitioningDecision, plan_partitioning,
@@ -49,9 +46,6 @@ from .rdd import DistributedRelation, SetRDD
 PGLD = "pgld"
 PPLW_SPARK = "plw-spark"
 PPLW_POSTGRES = "plw-postgres"
-
-#: Safety bound on driver-side global iterations.
-MAX_GLOBAL_ITERATIONS = 1_000_000
 
 
 class DistributedFixpointPlan:
@@ -107,7 +101,7 @@ class DistributedFixpointPlan:
         index, later calls find it memoized — recorded in the cluster
         metrics so benchmarks can show the reuse.
         """
-        if not common or not storage.caching_enabled():
+        if not common:
             return
         self.cluster.record_index_event(built=not relation.has_index(common))
         relation.index_on(common)
@@ -135,52 +129,52 @@ class GlobalLoopOnDriver(DistributedFixpointPlan):
         # Compile-and-bind once on the driver; per iteration each partition
         # runs the kernel chain (encode -> step -> decode) as one task.
         # ``None`` falls back to tuple-at-a-time distributed evaluation.
-        bound = bind_program(self.kernel_cache, var, variable_part,
-                             constant.columns, self._dictionary,
-                             evaluator.evaluate_constant)
+        bound = fixpoint_driver.bind_kernels(
+            self.kernel_cache, var, variable_part, constant.columns,
+            self._dictionary, evaluator.evaluate_constant)
         kernel_step = self._kernel_partition_task(bound) if bound else None
-        accumulated = DistributedRelation.from_relation(self.cluster, constant)
-        delta = accumulated
+        cluster = self.cluster
+        accumulated = DistributedRelation.from_relation(cluster, constant)
         iterations = 0
-        traced = tracing.tracing_enabled()
-        while not delta.is_empty():
+
+        def step(delta: DistributedRelation) -> DistributedRelation:
+            nonlocal iterations
             iterations += 1
-            if iterations > MAX_GLOBAL_ITERATIONS:
-                raise EvaluationError(
-                    f"global loop on {var!r} did not converge "
-                    f"within {MAX_GLOBAL_ITERATIONS} iterations")
-            self.cluster.metrics.global_iterations += 1
-            iteration_span = tracing.span(
-                "fixpoint.iteration", var=var, iteration=iterations,
-                delta=delta.count(),
-                engine="columnar" if kernel_step else "row") \
-                if traced else tracing.NOOP_SPAN
-            with iteration_span:
-                if kernel_step is not None:
-                    # Same communication pattern as the row path: the
-                    # constant operands go out per iteration (broadcast),
-                    # their indexes are built once and reused after.
-                    for size in bound.broadcast_sizes:
-                        self.cluster.record_broadcast(size)
-                    if iterations == 1:
-                        for _ in range(bound.index_builds):
-                            self.cluster.record_index_event(built=True)
-                        for _ in range(bound.index_reuses):
-                            self.cluster.record_index_event(built=False)
-                    else:
-                        for _ in range(bound.indexed_ops):
-                            self.cluster.record_index_event(built=False)
-                    produced = delta.map_partitions(kernel_step)
-                else:
-                    produced = self._evaluate_distributed(variable_part, var,
-                                                          delta, evaluator)
-                # new = phi(new) \ X    (global set difference: shuffle)
-                delta = produced.subtract_distinct(accumulated)
-                # X = X U new           (union + distinct: shuffle)
-                accumulated = accumulated.union_distinct(delta)
-                if traced:
-                    iteration_span.set_attribute("produced", produced.count())
-                    iteration_span.set_attribute("total", accumulated.count())
+            cluster.metrics.global_iterations += 1
+            if kernel_step is None:
+                return self._evaluate_distributed(variable_part, var, delta,
+                                                  evaluator)
+            # Same communication pattern as the row path: the constant
+            # operands go out per iteration (broadcast), their indexes are
+            # built once and reused after.
+            for size in bound.broadcast_sizes:
+                cluster.record_broadcast(size)
+            if iterations == 1:
+                for _ in range(bound.index_builds):
+                    cluster.record_index_event(built=True)
+                for _ in range(bound.index_reuses):
+                    cluster.record_index_event(built=False)
+            else:
+                for _ in range(bound.indexed_ops):
+                    cluster.record_index_event(built=False)
+            return delta.map_partitions(kernel_step)
+
+        def absorb(produced: DistributedRelation) -> DistributedRelation:
+            nonlocal accumulated
+            # new = phi(new) \ X    (global set difference: shuffle)
+            delta = produced.subtract_distinct(accumulated)
+            # X = X U new           (union + distinct: shuffle)
+            accumulated = accumulated.union_distinct(delta)
+            return delta
+
+        limit = fixpoint_driver.MAX_ITERATIONS
+        fixpoint_driver.iterate(
+            var, accumulated, step, absorb, lambda: accumulated.count(),
+            columns=constant.columns, max_iterations=limit,
+            nonconvergence=f"global loop on {var!r} did not converge "
+                           f"within {limit} iterations",
+            engine="columnar" if kernel_step else "row",
+            size=DistributedRelation.count)
         return accumulated.collect()
 
     def _kernel_partition_task(self, bound):
@@ -310,57 +304,37 @@ def run_spark_local_loop(fixpoint: Fixpoint, database: Mapping[str, Relation],
     worker's loop.
     """
     decomposition = decompose(fixpoint)
+    var = fixpoint.var
+    variable_part = decomposition.variable_part
     evaluator = Evaluator(database)
+    env: dict[str, Relation] = {}
+
+    def row_step(delta: Relation) -> Relation:
+        env[var] = delta
+        return evaluator.evaluate(variable_part, env=env)
+
     traced = tracing.tracing_enabled()
-    loop_span = tracing.span("fixpoint.local_loop", var=fixpoint.var,
+    loop_span = tracing.span("fixpoint.local_loop", var=var,
                              variant="spark",
                              seed=len(chunk)) if traced else tracing.NOOP_SPAN
     with loop_span:
         # The columnar kernels run the whole local loop when they support
         # the shape; the process-default program cache gives in-process
         # task reuse (compile once, bind per chunk).
-        kernel_result = try_columnar_fixpoint(
-            None, fixpoint.var, decomposition.variable_part, chunk,
-            snapshot_dictionary(database), evaluator.evaluate_constant,
-            max_iterations,
-            f"local fixpoint on {fixpoint.var!r} did not converge "
-            f"within {max_iterations} iterations")
-        if kernel_result is not None:
-            if traced:
-                loop_span.set_attribute("iterations", kernel_result.iterations)
-                loop_span.set_attribute("total", len(kernel_result.relation))
-            return LocalLoopOutcome(relation=kernel_result.relation,
-                                    iterations=kernel_result.iterations,
-                                    index_builds=kernel_result.index_builds,
-                                    index_reuses=kernel_result.index_reuses)
-        accumulator = DeltaAccumulator(chunk)
-        delta = chunk
-        env: dict[str, Relation] = {}
-        iterations = 0
-        while delta:
-            iterations += 1
-            if iterations > max_iterations:
-                raise EvaluationError(
-                    f"local fixpoint on {fixpoint.var!r} did not converge "
-                    f"within {max_iterations} iterations")
-            env[fixpoint.var] = delta
-            iteration_span = tracing.span(
-                "fixpoint.iteration", var=fixpoint.var, iteration=iterations,
-                delta=len(delta)) if traced else tracing.NOOP_SPAN
-            with iteration_span:
-                produced = evaluator.evaluate(decomposition.variable_part,
-                                              env=env)
-                delta = accumulator.absorb(produced)
-                if traced:
-                    iteration_span.set_attribute("produced", len(produced))
-                    iteration_span.set_attribute("total", len(accumulator))
+        run = fixpoint_driver.run_fixpoint(
+            var, variable_part, chunk, row_step, kernel_cache=None,
+            dictionary=snapshot_dictionary(database),
+            resolve=evaluator.evaluate_constant,
+            max_iterations=max_iterations,
+            nonconvergence=f"local fixpoint on {var!r} did not converge "
+                           f"within {max_iterations} iterations")
         if traced:
-            loop_span.set_attribute("iterations", iterations)
-            loop_span.set_attribute("total", len(accumulator))
-    return LocalLoopOutcome(relation=accumulator.relation(),
-                            iterations=iterations,
-                            index_builds=evaluator.stats.index_builds,
-                            index_reuses=evaluator.stats.index_reuses)
+            loop_span.set_attribute("iterations", run.iterations)
+            loop_span.set_attribute("total", len(run.relation))
+    return LocalLoopOutcome(
+        relation=run.relation, iterations=run.iterations,
+        index_builds=run.index_builds + evaluator.stats.index_builds,
+        index_reuses=run.index_reuses + evaluator.stats.index_reuses)
 
 
 def run_postgres_local_loop(fixpoint: Fixpoint, database: Mapping[str, Relation],
@@ -410,7 +384,7 @@ class ParallelLocalLoops(DistributedFixpointPlan):
         # a real cluster would put on the wire (and what the process
         # backend pickles per task).
         shipped = {name: self.database[name] for name in broadcast_names}
-        max_iterations = local_engine_module.MAX_LOCAL_ITERATIONS
+        max_iterations = fixpoint_driver.MAX_ITERATIONS
         outcomes = self.cluster.run_tasks(
             type(self).local_loop_task,
             [(fixpoint, shipped, chunk, max_iterations) for chunk in chunks])

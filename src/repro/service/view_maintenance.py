@@ -56,6 +56,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
+from ..algebra import fixpoint as fixpoint_driver
 from ..algebra.conditions import decompose
 from ..algebra.evaluate import Evaluator
 from ..algebra.terms import Antijoin, Fixpoint, Rename, RelVar, Term
@@ -350,9 +351,8 @@ class ViewMaintainer:
             .union(lost_constant)
         # Propagate: anything derivable *from* an overdeleted row may
         # itself have lost its derivation.  Old rules over-approximate.
-        while frontier:
-            produced = eval_old.evaluate(variable_part, env={var: frontier})
-            frontier = overdeleted.absorb(produced)
+        _converge(eval_old, variable_part, var, frontier, overdeleted,
+                  "maintenance overdeletion")
         candidate = old_result.difference(overdeleted.relation())
         # Resume under the new database: re-derives overdeleted rows that
         # still have support and folds in this commit's insertions.
@@ -377,16 +377,28 @@ def _resume(evaluator: Evaluator, variable_part: Term, var: str, *,
     step = evaluator.evaluate(variable_part, env={var: seed}) if seed \
         else Relation.empty(constant.columns)
     frontier = frontier.union(accumulator.absorb(step))
-    iterations = 0
-    while frontier:
-        iterations += 1
-        if iterations > evaluator.max_iterations:
-            raise FixpointConditionError(
-                f"maintenance resume on {var!r} did not converge after "
-                f"{evaluator.max_iterations} iterations")
-        produced = evaluator.evaluate(variable_part, env={var: frontier})
-        frontier = accumulator.absorb(produced)
+    _converge(evaluator, variable_part, var, frontier, accumulator,
+              "maintenance resume")
     return accumulator.relation()
+
+
+def _converge(evaluator: Evaluator, variable_part: Term, var: str,
+              frontier: Relation, accumulator: DeltaAccumulator,
+              what: str) -> None:
+    """Drive ``accumulator`` to convergence from ``frontier``.
+
+    Nonconvergence raises :class:`FixpointConditionError`, which
+    :meth:`ViewMaintainer._maintain_entry` turns into a skip: the commit
+    goes through and the entry is recomputed on its next miss.
+    """
+    fixpoint_driver.iterate(
+        var, frontier,
+        lambda delta: evaluator.evaluate(variable_part, env={var: delta}),
+        accumulator.absorb, accumulator.__len__,
+        columns=accumulator.columns, max_iterations=evaluator.max_iterations,
+        nonconvergence=f"{what} on {var!r} did not converge after "
+                       f"{evaluator.max_iterations} iterations",
+        error=FixpointConditionError)
 
 
 # -- Plan-shape analysis ---------------------------------------------------

@@ -6,9 +6,10 @@ import pytest
 
 from repro.algebra.builders import closure
 from repro.algebra.conditions import decompose
+from repro.algebra.fixpoint import bind_kernels, run_fixpoint
 from repro.algebra.kernels import (KernelProgramCache, KernelUnsupported,
                                    bind_program, compile_program,
-                                   default_kernel_cache, try_columnar_fixpoint)
+                                   default_kernel_cache)
 from repro.algebra.terms import (Antijoin, Filter, Fixpoint, Join, RelVar,
                                  Union)
 from repro.data.columnar import ValueDictionary, row_mode
@@ -36,6 +37,16 @@ def make_resolve(database):
     return Evaluator(database).evaluate_constant
 
 
+def run_columnar(database, var, variable_part, **limits):
+    """Run the closure through the driver; a row step would fail loudly."""
+    def row_step(_delta):
+        raise AssertionError("the row engine ran instead of the kernels")
+    return run_fixpoint(var, variable_part, database["E"], row_step,
+                        kernel_cache=KernelProgramCache(),
+                        dictionary=ValueDictionary(),
+                        resolve=make_resolve(database), **limits)
+
+
 class TestCompileAndRun:
     def test_closure_matches_row_engine(self):
         database = {"E": edges([(1, 2), (2, 3), (3, 4), (2, 5)])}
@@ -44,11 +55,9 @@ class TestCompileAndRun:
         with row_mode():
             expected = evaluate(term, database)
         fixpoint_var, variable_part, _ = closure_parts(database)
-        result = try_columnar_fixpoint(
-            KernelProgramCache(), fixpoint_var, variable_part,
-            database["E"], ValueDictionary(), make_resolve(database),
-            max_iterations=100, nonconvergence="did not converge")
-        assert result is not None
+        result = run_columnar(database, fixpoint_var, variable_part,
+                              max_iterations=100,
+                              nonconvergence="did not converge")
         assert result.relation == expected
         assert result.iterations >= 3
         assert result.index_builds == 1
@@ -58,19 +67,17 @@ class TestCompileAndRun:
         database = {"E": edges([(1, 2), (2, 3), (3, 4)])}
         fixpoint_var, variable_part, _ = closure_parts(database)
         with pytest.raises(EvaluationError, match="my exact message"):
-            try_columnar_fixpoint(
-                KernelProgramCache(), fixpoint_var, variable_part,
-                database["E"], ValueDictionary(), make_resolve(database),
-                max_iterations=1, nonconvergence="my exact message")
+            run_columnar(database, fixpoint_var, variable_part,
+                         max_iterations=1, nonconvergence="my exact message")
 
     def test_row_mode_returns_none(self):
         database = {"E": edges([(1, 2), (2, 3)])}
         fixpoint_var, variable_part, _ = closure_parts(database)
         with row_mode():
-            assert try_columnar_fixpoint(
+            assert bind_kernels(
                 KernelProgramCache(), fixpoint_var, variable_part,
-                database["E"], ValueDictionary(), make_resolve(database),
-                max_iterations=10, nonconvergence="unused") is None
+                ("src", "trg"), ValueDictionary(),
+                make_resolve(database)) is None
 
     def test_filter_on_codes_matches_row_engine(self):
         from repro.algebra.evaluate import evaluate

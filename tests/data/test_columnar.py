@@ -13,7 +13,6 @@ from repro.data.columnar import (SNAPSHOT_DICTIONARY_KEY, ColumnarBatch,
                                  set_columnar_enabled, snapshot_dictionary)
 from repro.data.relation import Relation
 from repro.data.snapshot import DatabaseSnapshot
-from repro.data.storage import compatibility_mode
 
 
 def edges(pairs):
@@ -172,8 +171,3 @@ class TestEngineSwitch:
             assert not columnar_enabled()
         finally:
             set_columnar_enabled(True)
-
-    def test_compatibility_mode_implies_row_engine(self):
-        with compatibility_mode():
-            assert not columnar_enabled()
-        assert columnar_enabled()

@@ -5,7 +5,8 @@ A fixpoint that does not converge within the configured bound must raise
 executor backend, and through the benchmark harness (which converts it into
 a ``failed`` run, the paper's red cross).  The bounds are monkeypatched to
 tiny values so an ordinary multi-iteration closure plays the role of the
-deliberately non-converging fixpoint.
+deliberately non-converging fixpoint; every loop reads the one bound of
+the fixpoint driver.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from __future__ import annotations
 import pytest
 
 from repro.algebra import RelVar, closure
+from repro.algebra import fixpoint as fixpoint_module
 from repro.distributed import (PGLD, PPLW_POSTGRES, PPLW_SPARK, LocalSQLEngine,
                                SparkCluster, make_plan)
-from repro.distributed import local_engine as local_engine_module
-from repro.distributed import plans as plans_module
 from repro.errors import EvaluationError
 
 
@@ -26,7 +26,7 @@ def closure_term():
 
 
 def test_global_loop_guard_raises(paper_database, closure_term, monkeypatch):
-    monkeypatch.setattr(plans_module, "MAX_GLOBAL_ITERATIONS", 1)
+    monkeypatch.setattr(fixpoint_module, "MAX_ITERATIONS", 1)
     plan = make_plan(PGLD, SparkCluster(num_workers=4), paper_database)
     with pytest.raises(EvaluationError, match="did not converge"):
         plan.execute(closure_term)
@@ -38,7 +38,7 @@ def test_local_loop_guard_raises_through_executors(
         paper_database, closure_term, monkeypatch, strategy, executor):
     # The bound is read at submission time and shipped with the task, so the
     # guard fires identically on in-process and out-of-process backends.
-    monkeypatch.setattr(local_engine_module, "MAX_LOCAL_ITERATIONS", 1)
+    monkeypatch.setattr(fixpoint_module, "MAX_ITERATIONS", 1)
     with SparkCluster(num_workers=4, executor=executor) as cluster:
         plan = make_plan(strategy, cluster, paper_database)
         with pytest.raises(EvaluationError, match="did not converge"):
@@ -63,7 +63,7 @@ def test_harness_reports_nonconvergence_as_failed_run(paper_edges, monkeypatch):
     from repro.data import LabeledGraph
     from repro.workloads.common import ucrpq_query
 
-    monkeypatch.setattr(local_engine_module, "MAX_LOCAL_ITERATIONS", 1)
+    monkeypatch.setattr(fixpoint_module, "MAX_ITERATIONS", 1)
     graph = LabeledGraph(name="guard-test")
     graph.add_edges([(row[0], "edge", row[1]) for row in paper_edges.rows])
     query = ucrpq_query("GUARD", "?x,?y <- ?x edge+ ?y")

@@ -16,8 +16,10 @@ from __future__ import annotations
 import gc
 import pickle
 
+from repro.algebra import RelVar, closure, evaluate
 from repro.data.relation import Relation
-from repro.data.storage import HashIndex, compatibility_mode
+from repro.data.storage import HashIndex
+from repro.distributed import PPLW_POSTGRES, SparkCluster, make_plan
 from repro.distributed.local_engine import LocalSQLEngine
 
 
@@ -110,12 +112,15 @@ def test_pickling_drops_the_index_cache():
     assert clone.index_on(("src",)).probe((1,)) == [(1, 2)]
 
 
-def test_compatibility_mode_disables_memoization():
-    relation = edges([(1, 2)])
-    with compatibility_mode():
-        cold = relation.index_on(("src",))
-        assert not relation.has_index(("src",))
-        assert relation.index_on(("src",)) is not cold
-    # Back in normal mode the index is memoized again.
-    warm = relation.index_on(("src",))
-    assert relation.index_on(("src",)) is warm
+def test_distributed_metrics_expose_index_reuse():
+    """Pplw^pg reports real index reuse in its cluster metrics."""
+    pairs = [(i, i + 1) for i in range(40)]
+    pairs += [(i, i + 2) for i in range(0, 38, 4)]
+    database = {"E": edges(pairs)}
+    term = closure(RelVar("E"), var="X")
+    cluster = SparkCluster(num_workers=4)
+    result = make_plan(PPLW_POSTGRES, cluster, database).execute(term)
+    summary = cluster.metrics.summary()
+    assert summary["index_builds"] > 0
+    assert summary["index_reuses"] > summary["index_builds"], summary
+    assert result == evaluate(term, database)

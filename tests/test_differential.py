@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Session
-from repro.data import compatibility_mode, row_mode
+from repro.data import row_mode
 from repro.data.relation import Relation
 from repro.datasets import uniprot_graph
 from repro.distributed import (EXECUTOR_BACKENDS, PGLD, PPLW_POSTGRES,
@@ -130,10 +130,9 @@ class TestCrossFrontEnd:
             assert canonical(mu) == canonical(datalog) == closure_reference
 
 
-#: Execution-engine axis: the columnar kernels (the default), the indexed
-#: row engine (``row_mode``), and the seed-era compatibility mode (which
-#: implies the row engine and disables every cache).
-ENGINE_MODES = ("columnar", "row", "compat")
+#: Execution-engine axis: the columnar kernels (the default) and the
+#: indexed row engine (``row_mode``).
+ENGINE_MODES = ("columnar", "row")
 
 #: Recursive Uniprot workload queries small enough for a unit-test graph.
 UNIPROT_DIFFERENTIAL_QIDS = ("Q42", "Q45", "Q47")
@@ -142,9 +141,6 @@ UNIPROT_DIFFERENTIAL_QIDS = ("Q42", "Q45", "Q47")
 def run_in_mode(mode: str, fn):
     if mode == "row":
         with row_mode():
-            return fn()
-    if mode == "compat":
-        with compatibility_mode():
             return fn()
     return fn()
 
@@ -155,7 +151,7 @@ def uniprot_differential_graph():
 
 
 class TestColumnarAxis:
-    """Columnar kernels vs row engine vs compatibility mode.
+    """Columnar kernels vs row engine.
 
     The default-on columnar path is already exercised by every other test
     in this module; this class pins the *comparisons*: whatever the plan,
@@ -201,7 +197,7 @@ class TestColumnarAxis:
                 return session.ucrpq(query.text).collect()
         results = {mode: canonical(run_in_mode(mode, run).relation)
                    for mode in ENGINE_MODES}
-        assert results["columnar"] == results["row"] == results["compat"]
+        assert results["columnar"] == results["row"]
 
     @pytest.mark.parametrize("strategy", ALL_PLANS)
     def test_processes_executor_pickles_kernels(self, seeded_random_graph,

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Repo-invariant lints the generic linters cannot express.
 
-Three invariants keep the concurrency and immutability story of the
-codebase honest; each maps to the runtime sanitizer check that would
-catch its violation only when the bad path actually runs:
+The first three invariants keep the concurrency and immutability story
+of the codebase honest; each maps to the runtime sanitizer check that
+would catch its violation only when the bad path actually runs.  The
+fourth keeps the fixpoint loop in one place:
 
 INV001  ``Relation`` internals (``_columns`` / ``_rows``) are assigned
         only inside ``src/repro/data/`` (the owning package) and
@@ -20,6 +21,11 @@ INV003  No lambdas (or other inline function expressions) handed to the
         ``src/repro/distributed/``.  Task functions must be module-level
         so the process backend can pickle them instead of silently
         degrading to in-process execution.
+INV004  No ``while`` loop whose body calls ``.absorb(`` outside
+        ``src/repro/algebra/fixpoint.py``.  Every semi-naive loop runs
+        through the fixpoint driver, which owns the iteration bound, the
+        schema check and the iteration spans; a loop folding deltas into
+        an accumulator anywhere else is a second driver growing back.
 
 Usage::
 
@@ -39,6 +45,9 @@ from pathlib import Path
 RELATION_INTERNALS = frozenset({"_columns", "_rows"})
 #: Executor entry points whose task argument must be picklable.
 TASK_ENTRY_POINTS = frozenset({"map_tasks", "submit"})
+#: Accumulator method whose use inside a ``while`` loop marks a
+#: semi-naive loop.
+ABSORB = "absorb"
 
 
 def _is_relation_dir(path: Path) -> bool:
@@ -56,6 +65,10 @@ def _is_check_dir(path: Path) -> bool:
 
 def _is_distributed_dir(path: Path) -> bool:
     return "distributed" in path.parts and "repro" in path.parts
+
+
+def _is_fixpoint_driver(path: Path) -> bool:
+    return path.name == "fixpoint.py" and "algebra" in path.parts
 
 
 class _Findings:
@@ -145,6 +158,26 @@ def _check_task_functions(tree: ast.AST, path: Path,
                              f"process backend can pickle them")
 
 
+def _check_fixpoint_loops(tree: ast.AST, path: Path,
+                          findings: _Findings) -> None:
+    """INV004: semi-naive loops live in the fixpoint driver only."""
+    if _is_fixpoint_driver(path):
+        return
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.While):
+            continue
+        for inner in (n for stmt in node.body for n in ast.walk(stmt)):
+            if isinstance(inner, ast.Call) \
+                    and isinstance(inner.func, ast.Attribute) \
+                    and inner.func.attr == ABSORB:
+                findings.add(path, node.lineno, "INV004",
+                             "while loop calling .absorb() outside "
+                             "repro/algebra/fixpoint.py — run the loop "
+                             "through the fixpoint driver (iterate / "
+                             "run_fixpoint)")
+                break
+
+
 def lint_file(path: Path, findings: _Findings) -> None:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -155,6 +188,7 @@ def lint_file(path: Path, findings: _Findings) -> None:
     _check_relation_internals(tree, path, findings)
     _check_bare_locks(tree, path, findings)
     _check_task_functions(tree, path, findings)
+    _check_fixpoint_loops(tree, path, findings)
 
 
 def main(argv: list[str]) -> int:
