@@ -8,21 +8,25 @@ themselves, iterating at most ``log2(domain)`` times, which is the expected
 convergence depth of a reachability-style fixpoint.
 
 Estimates are represented with :class:`repro.data.stats.RelationStats`
-(cardinality plus per-column distinct counts) so that they compose through
-the operators.
+(cardinality plus per-column distinct counts) and compose child-to-parent:
+:meth:`CardinalityEstimator.combine` builds one node's statistics from its
+children's, and :meth:`CardinalityEstimator.simulate_growth` builds a
+fixpoint's from its seed estimate and its decomposition.  Both the
+recursive :meth:`~CardinalityEstimator.estimate` and the cost model's
+bottom-up pass go through them, so every node is estimated once per walk.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 from ..data.predicates import (And, ColumnEq, Compare, Eq, In, Not, Or,
                                Predicate, TruePredicate)
 from ..data.relation import Relation
 from ..data.stats import RelationStats, StatisticsCatalog
 from ..errors import CostEstimationError
-from ..algebra.conditions import decompose
+from ..algebra.conditions import Decomposition, decompose
 from ..algebra.terms import (AntiProject, Antijoin, Filter, Fixpoint, Join,
                              Literal, Rename, RelVar, Term, Union)
 
@@ -57,9 +61,24 @@ class CardinalityEstimator:
         """Shortcut returning only the estimated row count."""
         return self.estimate(term).cardinality
 
-    # -- Dispatch -------------------------------------------------------------
+    def _estimate(self, term: Term, env: Mapping[str, RelationStats]) -> RelationStats:
+        if isinstance(term, Fixpoint):
+            decomposition = decompose(term)
+            seed = self._estimate(decomposition.constant_part, env)
+            return self.simulate_growth(decomposition, seed, env)
+        return self.combine(
+            term, [self._estimate(child, env) for child in term.children()], env)
 
-    def _estimate(self, term: Term, env: dict[str, RelationStats]) -> RelationStats:
+    # -- Non-recursive operators ----------------------------------------------
+
+    def combine(self, term: Term, children: Sequence[RelationStats],
+                env: Mapping[str, RelationStats]) -> RelationStats:
+        """Statistics of the non-fixpoint node ``term`` from its children's.
+
+        ``children`` holds the estimates of ``term.children()`` in order;
+        ``env`` binds the recursive variables in scope.  Fixpoints go
+        through :meth:`simulate_growth` instead.
+        """
         if isinstance(term, RelVar):
             if term.name in env:
                 return env[term.name]
@@ -67,110 +86,88 @@ class CardinalityEstimator:
         if isinstance(term, Literal):
             return RelationStats.of(term.relation)
         if isinstance(term, Filter):
-            return self._estimate_filter(term, env)
+            child, = children
+            selectivity = self._selectivity(term.predicate, child)
+            estimate = child.scaled(selectivity)
+            distinct = dict(estimate.distinct_values)
+            for column in term.predicate.columns():
+                if isinstance(term.predicate, (Eq,)):
+                    distinct[column] = 1
+                elif column in distinct:
+                    distinct[column] = max(1, int(distinct[column] * selectivity))
+            return RelationStats(cardinality=estimate.cardinality,
+                                 distinct_values=distinct)
         if isinstance(term, Union):
-            return self._estimate_union(term, env)
+            left, right = children
+            cardinality = left.cardinality + right.cardinality
+            distinct = dict(left.distinct_values)
+            for column, count in right.distinct_values.items():
+                distinct[column] = min(cardinality, distinct.get(column, 0) + count)
+            return RelationStats(cardinality=cardinality, distinct_values=distinct)
         if isinstance(term, Join):
-            return self._estimate_join(term, env)
-        if isinstance(term, Antijoin):
-            return self._estimate_antijoin(term, env)
-        if isinstance(term, Rename):
-            return self._estimate_rename(term, env)
-        if isinstance(term, AntiProject):
-            return self._estimate_antiproject(term, env)
-        if isinstance(term, Fixpoint):
-            return self._estimate_fixpoint(term, env)
-        raise CostEstimationError(f"cannot estimate term of type {type(term).__name__}")
-
-    # -- Non-recursive operators ----------------------------------------------
-
-    def _estimate_filter(self, term: Filter, env) -> RelationStats:
-        child = self._estimate(term.child, env)
-        selectivity = self._selectivity(term.predicate, child)
-        estimate = child.scaled(selectivity)
-        distinct = dict(estimate.distinct_values)
-        for column in term.predicate.columns():
-            if isinstance(term.predicate, (Eq,)):
-                distinct[column] = 1
-            elif column in distinct:
-                distinct[column] = max(1, int(distinct[column] * selectivity))
-        return RelationStats(cardinality=estimate.cardinality, distinct_values=distinct)
-
-    def _estimate_union(self, term: Union, env) -> RelationStats:
-        left = self._estimate(term.left, env)
-        right = self._estimate(term.right, env)
-        cardinality = left.cardinality + right.cardinality
-        distinct = dict(left.distinct_values)
-        for column, count in right.distinct_values.items():
-            distinct[column] = min(cardinality, distinct.get(column, 0) + count)
-        return RelationStats(cardinality=cardinality, distinct_values=distinct)
-
-    def _estimate_join(self, term: Join, env) -> RelationStats:
-        left = self._estimate(term.left, env)
-        right = self._estimate(term.right, env)
-        common = set(left.distinct_values) & set(right.distinct_values)
-        cardinality = left.cardinality * right.cardinality
-        for column in common:
-            cardinality /= max(left.distinct(column), right.distinct(column))
-        cardinality = max(0, int(round(cardinality)))
-        distinct: dict[str, int] = {}
-        for column in set(left.distinct_values) | set(right.distinct_values):
-            counts = []
-            if column in left.distinct_values:
-                counts.append(left.distinct(column))
-            if column in right.distinct_values:
-                counts.append(right.distinct(column))
-            distinct[column] = max(1, min(min(counts), cardinality or 1))
-        return RelationStats(cardinality=cardinality, distinct_values=distinct)
-
-    def _estimate_antijoin(self, term: Antijoin, env) -> RelationStats:
-        left = self._estimate(term.left, env)
-        right = self._estimate(term.right, env)
-        common = set(left.distinct_values) & set(right.distinct_values)
-        if not common:
-            survival = 0.0 if right.cardinality else 1.0
-        else:
-            # Fraction of left keys with no partner: crude independence model.
-            survival = 1.0
+            left, right = children
+            common = set(left.distinct_values) & set(right.distinct_values)
+            cardinality = left.cardinality * right.cardinality
             for column in common:
-                coverage = min(1.0, right.distinct(column) / left.distinct(column))
-                survival *= (1.0 - coverage * 0.5)
-        return left.scaled(max(0.05, survival))
-
-    def _estimate_rename(self, term: Rename, env) -> RelationStats:
-        child = self._estimate(term.child, env)
-        distinct = dict(child.distinct_values)
-        if term.old in distinct:
-            distinct[term.new] = distinct.pop(term.old)
-        return RelationStats(cardinality=child.cardinality, distinct_values=distinct)
-
-    def _estimate_antiproject(self, term: AntiProject, env) -> RelationStats:
-        child = self._estimate(term.child, env)
-        distinct = {column: count for column, count in child.distinct_values.items()
-                    if column not in set(term.columns)}
-        # Dropping columns can only merge duplicates: cap the cardinality by
-        # the size of the remaining column domain.
-        domain = 1
-        for count in distinct.values():
-            domain *= max(1, count)
-            if domain > child.cardinality:
-                domain = child.cardinality
-                break
-        cardinality = min(child.cardinality, max(1, domain)) if distinct else min(
-            child.cardinality, 1)
-        return RelationStats(cardinality=cardinality, distinct_values=distinct)
+                cardinality /= max(left.distinct(column), right.distinct(column))
+            cardinality = max(0, int(round(cardinality)))
+            distinct: dict[str, int] = {}
+            for column in set(left.distinct_values) | set(right.distinct_values):
+                counts = []
+                if column in left.distinct_values:
+                    counts.append(left.distinct(column))
+                if column in right.distinct_values:
+                    counts.append(right.distinct(column))
+                distinct[column] = max(1, min(min(counts), cardinality or 1))
+            return RelationStats(cardinality=cardinality, distinct_values=distinct)
+        if isinstance(term, Antijoin):
+            left, right = children
+            common = set(left.distinct_values) & set(right.distinct_values)
+            if not common:
+                survival = 0.0 if right.cardinality else 1.0
+            else:
+                # Fraction of left keys with no partner: crude independence model.
+                survival = 1.0
+                for column in common:
+                    coverage = min(1.0, right.distinct(column) / left.distinct(column))
+                    survival *= (1.0 - coverage * 0.5)
+            return left.scaled(max(0.05, survival))
+        if isinstance(term, Rename):
+            child, = children
+            distinct = dict(child.distinct_values)
+            if term.old in distinct:
+                distinct[term.new] = distinct.pop(term.old)
+            return RelationStats(cardinality=child.cardinality, distinct_values=distinct)
+        if isinstance(term, AntiProject):
+            child, = children
+            distinct = {column: count for column, count in child.distinct_values.items()
+                        if column not in set(term.columns)}
+            # Dropping columns can only merge duplicates: cap the cardinality by
+            # the size of the remaining column domain.
+            domain = 1
+            for count in distinct.values():
+                domain *= max(1, count)
+                if domain > child.cardinality:
+                    domain = child.cardinality
+                    break
+            cardinality = min(child.cardinality, max(1, domain)) if distinct else min(
+                child.cardinality, 1)
+            return RelationStats(cardinality=cardinality, distinct_values=distinct)
+        raise CostEstimationError(f"cannot estimate term of type {type(term).__name__}")
 
     # -- Fixpoints ---------------------------------------------------------------
 
-    def _estimate_fixpoint(self, term: Fixpoint, env) -> RelationStats:
-        decomposition = decompose(term)
-        seed = self._estimate(decomposition.constant_part, env)
+    def simulate_growth(self, decomposition: Decomposition, seed: RelationStats,
+                        env: Mapping[str, RelationStats]) -> RelationStats:
+        """Statistics of a fixpoint from ``seed``, its constant part's estimate.
+
+        The semi-naive iteration is simulated on the estimates: the delta of
+        round i feeds the variable part of round i+1.  The number of
+        simulated rounds is logarithmic in the domain size, following the
+        log-based estimation technique used by the Dist-mu-RA cost model.
+        """
         if decomposition.variable_part is None:
             return seed
-        # Simulate the semi-naive iteration on the estimates: the delta of
-        # round i feeds the variable part of round i+1.  The number of
-        # simulated rounds is logarithmic in the domain size, following the
-        # log-based estimation technique used by the Dist-mu-RA cost model.
         domain = max(2, max([seed.cardinality] + list(seed.distinct_values.values())))
         rounds = min(MAX_SIMULATED_ITERATIONS, max(1, int(math.ceil(math.log2(domain))) + 1))
         total_cardinality = seed.cardinality
@@ -179,7 +176,7 @@ class CardinalityEstimator:
         bound = self._fixpoint_bound(seed)
         for _ in range(rounds):
             inner_env = dict(env)
-            inner_env[term.var] = delta
+            inner_env[decomposition.var] = delta
             produced = self._estimate(decomposition.variable_part, inner_env)
             if produced.cardinality <= 0:
                 break

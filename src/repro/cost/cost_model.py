@@ -14,6 +14,12 @@ model here mirrors that design:
   win: their per-iteration input is much smaller).
 
 Costs are unit-less; only their relative order matters for plan selection.
+
+A plan is costed in one bottom-up pass: each node's report is built from
+its children's, and its estimate from theirs through the estimator's
+per-node combiner, so no subtree is estimated twice.  A fixpoint hands the
+estimate of its constant part and its decomposition to the growth
+simulation rather than re-deriving either.
 """
 
 from __future__ import annotations
@@ -24,10 +30,8 @@ from dataclasses import dataclass
 
 from ..data.relation import Relation
 from ..data.stats import RelationStats, StatisticsCatalog
-from ..errors import CostEstimationError
 from ..algebra.conditions import decompose
-from ..algebra.terms import (AntiProject, Antijoin, Filter, Fixpoint, Join,
-                             Literal, Rename, RelVar, Term, Union)
+from ..algebra.terms import Fixpoint, Join, Term, Union
 from .cardinality import MAX_SIMULATED_ITERATIONS, CardinalityEstimator
 
 #: Relative weight of one duplicate-elimination pass.
@@ -66,54 +70,40 @@ class CostModel:
         """Return both the cost and the cardinality estimate of ``term``."""
         return self._report(term, dict(env or {}))
 
-    # -- Dispatch -------------------------------------------------------------
+    # -- Bottom-up pass ---------------------------------------------------------
 
     def _report(self, term: Term, env: dict[str, RelationStats]) -> CostReport:
-        if isinstance(term, RelVar):
-            estimate = self.estimator.estimate(term, env=env)
-            return CostReport(cost=float(estimate.cardinality), estimate=estimate)
-        if isinstance(term, Literal):
-            estimate = RelationStats.of(term.relation)
-            return CostReport(cost=float(estimate.cardinality), estimate=estimate)
-        if isinstance(term, Filter):
-            child = self._report(term.child, env)
-            estimate = self.estimator.estimate(term, env=env)
-            return CostReport(cost=child.cost + child.estimate.cardinality,
-                              estimate=estimate)
-        if isinstance(term, (Rename, AntiProject)):
-            child = self._report(term.child, env)
-            estimate = self.estimator.estimate(term, env=env)
-            return CostReport(cost=child.cost + child.estimate.cardinality,
-                              estimate=estimate)
-        if isinstance(term, Union):
-            left = self._report(term.left, env)
-            right = self._report(term.right, env)
-            estimate = self.estimator.estimate(term, env=env)
-            dedup = DEDUP_FACTOR * estimate.cardinality
-            return CostReport(cost=left.cost + right.cost + dedup, estimate=estimate)
-        if isinstance(term, Join):
-            left = self._report(term.left, env)
-            right = self._report(term.right, env)
-            estimate = self.estimator.estimate(term, env=env)
-            work = (left.estimate.cardinality + right.estimate.cardinality
-                    + estimate.cardinality)
-            return CostReport(cost=left.cost + right.cost + work, estimate=estimate)
-        if isinstance(term, Antijoin):
-            left = self._report(term.left, env)
-            right = self._report(term.right, env)
-            estimate = self.estimator.estimate(term, env=env)
-            work = left.estimate.cardinality + right.estimate.cardinality
-            return CostReport(cost=left.cost + right.cost + work, estimate=estimate)
         if isinstance(term, Fixpoint):
             return self._report_fixpoint(term, env)
-        raise CostEstimationError(f"cannot cost term of type {type(term).__name__}")
+        children = [self._report(child, env) for child in term.children()]
+        estimate = self.estimator.combine(
+            term, [child.estimate for child in children], env)
+        if not children:
+            # RelVar, Literal: a scan.
+            return CostReport(cost=float(estimate.cardinality), estimate=estimate)
+        if len(children) == 1:
+            # Filter, Rename, AntiProject: one pass over the input.
+            child, = children
+            return CostReport(cost=child.cost + child.estimate.cardinality,
+                              estimate=estimate)
+        left, right = children
+        if isinstance(term, Union):
+            work = DEDUP_FACTOR * estimate.cardinality
+        elif isinstance(term, Join):
+            work = (left.estimate.cardinality + right.estimate.cardinality
+                    + estimate.cardinality)
+        else:
+            # Antijoin: one pass over each input.
+            work = left.estimate.cardinality + right.estimate.cardinality
+        return CostReport(cost=left.cost + right.cost + work, estimate=estimate)
 
     # -- Fixpoint -------------------------------------------------------------
 
     def _report_fixpoint(self, term: Fixpoint, env: dict[str, RelationStats]) -> CostReport:
         decomposition = decompose(term)
         seed_report = self._report(decomposition.constant_part, env)
-        estimate = self.estimator.estimate(term, env=env)
+        estimate = self.estimator.simulate_growth(
+            decomposition, seed_report.estimate, env)
         if decomposition.variable_part is None:
             return CostReport(cost=seed_report.cost, estimate=estimate)
         # Estimated number of iterations: logarithmic in the result size

@@ -28,7 +28,8 @@ from ..algebra.kernels import KernelProgramCache
 from ..algebra.terms import Fixpoint, Literal, Term
 from ..algebra.variables import free_variables
 from ..data.relation import Relation
-from ..data.snapshot import adopt_database, database_schemas
+from ..data.snapshot import (DatabaseSnapshot, adopt_database,
+                             database_schemas)
 from ..errors import PlanSelectionError
 from ..obs import tracing
 from .cluster import SparkCluster
@@ -198,8 +199,11 @@ class DistributedQueryExecutor:
         estimate-vs-actual drift) — the disabled path never pays for it.
         """
         from ..cost.cardinality import CardinalityEstimator
+        # A snapshot carries its statistics; any other mapping is summarized.
+        catalog = (self.database.catalog
+                   if isinstance(self.database, DatabaseSnapshot) else None)
         try:
-            return CardinalityEstimator(self.database).cardinality(fixpoint)
+            return CardinalityEstimator(self.database, catalog).cardinality(fixpoint)
         except Exception:
             return None
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algebra import (Filter, RelVar, closure, compose, evaluate,
-                           schemas_of_database)
+from repro.algebra import (Filter, Fixpoint, RelVar, closure, compose,
+                           evaluate, schemas_of_database)
 from repro.cost import (CardinalityEstimator, CostModel, rank_plans,
                         select_best_plan)
 from repro.data import Eq, Relation
@@ -109,8 +109,29 @@ class TestPlanSelection:
         with pytest.raises(PlanSelectionError):
             select_best_plan([], database=database)
 
-    def test_unrankable_plan_goes_last(self, database):
+    def test_missing_relations_rank_with_default_statistics(self, database):
+        # Unknown relations get the catalog's default cardinality: the
+        # join is rankable, just more expensive than the base scan.
         good = RelVar("knows")
         bad = RelVar("missing-relation").join(RelVar("also-missing"))
         ranked = rank_plans([bad, good], database=database)
         assert ranked[0].term == good
+        assert ranked[1].cost < float("inf")
+
+    def test_unrankable_plan_goes_last(self, database):
+        # No constant part: decomposing the fixpoint raises
+        # FixpointConditionError, a library error.
+        good = RelVar("knows")
+        bad = Fixpoint("X", RelVar("X").join(RelVar("knows")))
+        ranked = rank_plans([bad, good], database=database)
+        assert [plan.term for plan in ranked] == [good, bad]
+        assert ranked[1].cost == float("inf")
+        assert ranked[1].estimated_cardinality == 0
+
+    def test_estimator_bug_propagates(self, database, monkeypatch):
+        def broken(self, term, children, env):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(CardinalityEstimator, "combine", broken)
+        with pytest.raises(KeyError):
+            rank_plans([RelVar("knows")], database=database)

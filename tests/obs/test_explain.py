@@ -87,6 +87,22 @@ class TestExplainAnalyze:
         assert fixpoint.attribute("actual_rows") == report.actual_rows
         assert fixpoint.attribute("drift") is not None
 
+    def test_traced_estimate_reads_the_snapshot_statistics(
+            self, session, monkeypatch):
+        from repro.data.stats import StatisticsCatalog
+        registered = []
+        original = StatisticsCatalog.register
+
+        def counting_register(catalog, name, relation):
+            registered.append(name)
+            return original(catalog, name, relation)
+
+        monkeypatch.setattr(StatisticsCatalog, "register", counting_register)
+        report = session.ucrpq(TC_QUERY).explain_analyze(
+            use_plan_cache=False, use_result_cache=False)
+        assert report.fixpoints[0].attribute("estimated_rows") is not None
+        assert registered == []
+
     def test_single_root_covering_every_stage(self, session):
         report = session.ucrpq(TC_QUERY).explain_analyze(
             use_result_cache=False)
